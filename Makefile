@@ -43,11 +43,11 @@ FORCE:
 lint-test:
 	$(GO) test ./internal/lint/...
 
-# bench runs the engine performance harness — per-figure benchmarks plus
-# the event-engine microbenchmarks (timer churn, fetch-session churn,
-# heap footprint under the Fig. 4 fault load) — and refreshes the
-# checked-in BENCH_engine.json baseline. Compare against `git diff
-# BENCH_engine.json` before committing a regression.
+# bench runs the benchmark registry in internal/perf — one entry per
+# paper experiment, whole-job entries and the event-queue
+# microbenchmarks — and refreshes the checked-in BENCH_engine.json
+# baseline. Compare against `git diff BENCH_engine.json` before
+# committing a regression.
 bench:
 	$(GO) run ./cmd/almbench -perf -perf-out BENCH_engine.json
 
@@ -89,11 +89,11 @@ queue-diff:
 bench-compare:
 	$(GO) run ./cmd/almbench -compare $(OLD)
 
-# bench-smoke compiles and runs every benchmark exactly once — the CI
-# guard that keeps the harness from bit-rotting without paying full
-# measurement cost.
+# bench-smoke compiles and runs every benchmark in the module exactly
+# once — the CI guard that keeps the harness from bit-rotting without
+# paying full measurement cost.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/fairshare ./internal/perf
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # chaos sweeps 50 seeded random gray-failure schedules under all four
 # modes and asserts the recovery invariants (DESIGN.md §11). A failing

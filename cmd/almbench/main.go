@@ -22,10 +22,6 @@
 //	                          # path, i.e. the checked-in baseline)
 //	almbench -metrics-dir m/  # dump one Prometheus-text metrics file
 //	                          # per simulated case under m/
-//	almbench -queue heap      # select the sim event-queue backend
-//	                          # (wheel | heap); output is byte-identical
-//	                          # either way, so combined with -perf this
-//	                          # A/Bs the backends' performance
 package main
 
 import (
@@ -43,7 +39,6 @@ import (
 
 	"alm"
 	"alm/internal/perf"
-	"alm/internal/sim"
 	"alm/internal/sweep"
 )
 
@@ -61,18 +56,8 @@ func main() {
 		budgets  = flag.Bool("check-budgets", false, "with -perf: verify results against their allocation budgets and exit 1 on any breach")
 		compare  = flag.String("compare", "", "old BENCH_engine.json to diff against; the new file is the first positional argument (default: the -perf-out path)")
 		metrDir  = flag.String("metrics-dir", "", "directory to dump one Prometheus-text metrics file per simulated case")
-		queue    = flag.String("queue", "", "sim event-queue backend: wheel | heap (default: the wheel); both are byte-identical, so this is an A/B performance knob")
 	)
 	flag.Parse()
-
-	if *queue != "" {
-		k, ok := sim.ParseQueueKind(*queue)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown -queue %q (want wheel or heap)\n", *queue)
-			os.Exit(1)
-		}
-		sim.SetDefaultQueue(k)
-	}
 
 	if *compare != "" {
 		newPath := *perfOut

@@ -49,6 +49,14 @@ var Modes = []engine.Mode{engine.ModeYARN, engine.ModeALG, engine.ModeSFM, engin
 // tier.
 var RemoteModes = []engine.Mode{engine.ModeYARN, engine.ModeALM}
 
+// matrix is the mode matrix a seed is checked under.
+func matrix(remote bool) []engine.Mode {
+	if remote {
+		return RemoteModes
+	}
+	return Modes
+}
+
 // RemoteTierNodes is the tier size remote chaos runs use (mirrors the
 // engine's ShuffleOptions default so generated ordinals stay in range).
 const RemoteTierNodes = 3
@@ -73,11 +81,13 @@ func CheckShape() (Shape, engine.ClusterSpec) {
 // a task several attempt failures (an injected kill plus strandings on
 // partitioned nodes) without anything being wrong, and the invariants
 // under test are about amplification and recovery, not the attempt cap.
+// A shape with tier nodes enables the remote shuffle tier, sized to the
+// shape the generator drew ordinals from.
 func specFor(seed int64, mode engine.Mode, sh Shape) engine.JobSpec {
 	wls := []*workloads.Workload{workloads.Terasort(), workloads.Wordcount(), workloads.Secondarysort()}
 	conf := mr.DefaultConfig()
 	conf.MaxTaskAttempts = 8
-	return engine.JobSpec{
+	spec := engine.JobSpec{
 		Workload:   wls[int(((seed%3)+3)%3)],
 		InputBytes: int64(sh.Maps) * conf.BlockSizeBytes,
 		NumReduces: sh.Reduces,
@@ -85,6 +95,9 @@ func specFor(seed int64, mode engine.Mode, sh Shape) engine.JobSpec {
 		Mode:       mode,
 		Seed:       seed,
 	}
+	spec.Shuffle.Remote = sh.TierNodes > 0
+	spec.Shuffle.TierNodes = sh.TierNodes
+	return spec
 }
 
 // runOne executes one job, converting an engine invariant panic (armed
@@ -129,94 +142,9 @@ func sameOutput(a, b []mr.Record) bool {
 // accumulates sweep metrics (runs per mode, violations per invariant).
 func CheckSeed(seed int64, budget Budget, reg *metrics.Registry) []Violation {
 	engine.EnableInvariantChecks()
-	vs := checkSeed(seed, budget)
-	applySeedMetrics(reg, Modes, false, vs)
+	vs := checkSeed(seed, budget, false)
+	applySeedMetrics(reg, false, vs)
 	return vs
-}
-
-// checkSeed is CheckSeed's pure core: no registry writes, no global
-// toggles — safe to fan out across sweep workers. Metrics are derived
-// from its return value afterwards (applySeedMetrics), in seed order,
-// so a parallel sweep's registry snapshot is byte-identical to serial.
-func checkSeed(seed int64, budget Budget) []Violation {
-	sh, cs := CheckShape()
-	sched := Generate(seed, budget, sh)
-	var vs []Violation
-	add := func(mode engine.Mode, invariant, detail string) {
-		vs = append(vs, Violation{Seed: seed, Mode: mode, Invariant: invariant, Detail: detail})
-	}
-
-	for _, mode := range Modes {
-		spec := specFor(seed, mode, sh)
-
-		base, _, baseCons, err := runOne(spec, cs, nil)
-		if err != nil {
-			add(mode, "baseline-run", err.Error())
-			continue
-		}
-		if !base.Completed {
-			add(mode, "baseline-termination", base.FailReason)
-			continue
-		}
-		if baseCons != nil {
-			add(mode, "conservation", "baseline: "+baseCons.Error())
-		}
-
-		res, _, cons, err := runOne(spec, cs, sched.Plan())
-		if err != nil {
-			add(mode, "chaos-run", err.Error())
-			continue
-		}
-		if !res.Completed {
-			add(mode, "termination", fmt.Sprintf("job did not complete: %s", res.FailReason))
-			continue
-		}
-		if cons != nil {
-			add(mode, "conservation", cons.Error())
-		}
-		if !sameOutput(res.Output, base.Output) {
-			add(mode, "output-identity", fmt.Sprintf(
-				"recovered output differs from failure-free run (%d vs %d records)",
-				len(res.Output), len(base.Output)))
-		}
-		if mode.SFMEnabled() && sched.SingleDark() && res.AdditionalReduceFailures != 0 {
-			add(mode, "no-amplification", fmt.Sprintf(
-				"%d healthy reducers infected under a single-failure schedule",
-				res.AdditionalReduceFailures))
-		}
-		if sched.AllHealFast(healFastLimit(spec.Conf)) && sched.CrashCount() == 0 {
-			if n := res.Trace.Count(trace.KindNodeDetected); n != 0 {
-				add(mode, "no-lost-nodes", fmt.Sprintf(
-					"%d nodes declared lost although every fault heals before the liveness timer", n))
-			}
-		}
-
-		res2, _, _, err := runOne(spec, cs, sched.Plan())
-		if err != nil {
-			add(mode, "determinism", "repeat run failed: "+err.Error())
-			continue
-		}
-		switch {
-		case res2.Duration != res.Duration:
-			add(mode, "determinism", fmt.Sprintf("durations differ: %v vs %v", res.Duration, res2.Duration))
-		case res2.Events.Processed != res.Events.Processed:
-			add(mode, "determinism", fmt.Sprintf("event counts differ: %d vs %d", res.Events.Processed, res2.Events.Processed))
-		case !sameOutput(res2.Output, res.Output):
-			add(mode, "determinism", "outputs differ between identical runs")
-		case res2.FetchRetries != res.FetchRetries:
-			add(mode, "determinism", fmt.Sprintf("fetch retries differ: %d vs %d", res.FetchRetries, res2.FetchRetries))
-		}
-	}
-	return vs
-}
-
-// remoteSpecFor is specFor with the remote shuffle tier enabled, sized
-// to the shape the generator drew ordinals from.
-func remoteSpecFor(seed int64, mode engine.Mode, sh Shape) engine.JobSpec {
-	spec := specFor(seed, mode, sh)
-	spec.Shuffle.Remote = true
-	spec.Shuffle.TierNodes = sh.TierNodes
-	return spec
 }
 
 // CheckSeedRemote is CheckSeed's counterpart for the remote-shuffle
@@ -228,24 +156,30 @@ func remoteSpecFor(seed int64, mode engine.Mode, sh Shape) engine.JobSpec {
 // recomputation, because delivered MOFs live in the tier.
 func CheckSeedRemote(seed int64, budget Budget, reg *metrics.Registry) []Violation {
 	engine.EnableInvariantChecks()
-	vs := checkSeedRemote(seed, budget)
-	applySeedMetrics(reg, RemoteModes, true, vs)
+	vs := checkSeed(seed, budget, true)
+	applySeedMetrics(reg, true, vs)
 	return vs
 }
 
-// checkSeedRemote is CheckSeedRemote's pure core (see checkSeed).
-func checkSeedRemote(seed int64, budget Budget) []Violation {
+// checkSeed is the pure core of CheckSeed (remote false) and
+// CheckSeedRemote (remote true): no registry writes, no global toggles —
+// safe to fan out across sweep workers. Metrics are derived from its
+// return value afterwards (applySeedMetrics), in seed order, so a
+// parallel sweep's registry snapshot is byte-identical to serial.
+func checkSeed(seed int64, budget Budget, remote bool) []Violation {
 	sh, cs := CheckShape()
-	sh.TierNodes = RemoteTierNodes
-	budget.TierFaults = true
+	if remote {
+		sh.TierNodes = RemoteTierNodes
+		budget.TierFaults = true
+	}
 	sched := Generate(seed, budget, sh)
 	var vs []Violation
 	add := func(mode engine.Mode, invariant, detail string) {
-		vs = append(vs, Violation{Seed: seed, Mode: mode, Invariant: invariant, Detail: detail, Remote: true})
+		vs = append(vs, Violation{Seed: seed, Mode: mode, Invariant: invariant, Detail: detail, Remote: remote})
 	}
 
-	for _, mode := range RemoteModes {
-		spec := remoteSpecFor(seed, mode, sh)
+	for _, mode := range matrix(remote) {
+		spec := specFor(seed, mode, sh)
 
 		base, _, baseCons, err := runOne(spec, cs, nil)
 		if err != nil {
@@ -277,21 +211,31 @@ func checkSeedRemote(seed int64, budget Budget) []Violation {
 				"recovered output differs from failure-free run (%d vs %d records)",
 				len(res.Output), len(base.Output)))
 		}
+		// Without a tier nothing is ever owed, so pending is 0 locally.
 		if pending != 0 {
 			add(mode, "tier-recovery", fmt.Sprintf(
 				"%d tier segments still owed at job end: a killed tier node's "+
 					"storage was neither re-replicated nor re-pushed", pending))
 		}
-		if sched.SingleDark() && !sched.HasTierCrash() {
+		// Local schedules draw no tier faults (sh.TierNodes is 0), so the
+		// tier-crash guard below only ever bites on the remote matrix.
+		singleDark := sched.SingleDark() && !sched.HasTierCrash()
+		if remote && singleDark {
 			if n := res.Trace.Count(trace.KindMapRescheduled); n != 0 {
 				add(mode, "no-map-recompute", fmt.Sprintf(
 					"%d completed maps recomputed although their MOFs were safe in the tier", n))
 			}
 		}
-		if mode.SFMEnabled() && sched.SingleDark() && !sched.HasTierCrash() && res.AdditionalReduceFailures != 0 {
+		if mode.SFMEnabled() && singleDark && res.AdditionalReduceFailures != 0 {
 			add(mode, "no-amplification", fmt.Sprintf(
 				"%d healthy reducers infected under a single-failure schedule",
 				res.AdditionalReduceFailures))
+		}
+		if !remote && sched.AllHealFast(healFastLimit(spec.Conf)) && sched.CrashCount() == 0 {
+			if n := res.Trace.Count(trace.KindNodeDetected); n != 0 {
+				add(mode, "no-lost-nodes", fmt.Sprintf(
+					"%d nodes declared lost although every fault heals before the liveness timer", n))
+			}
 		}
 
 		res2, _, _, err := runOne(spec, cs, sched.Plan())
@@ -327,8 +271,8 @@ func healFastLimit(conf mr.Config) time.Duration {
 // produces the same registry state as the historical serial loop that
 // interleaved them with the runs. reg may be nil (all handles are
 // nil-safe no-ops).
-func applySeedMetrics(reg *metrics.Registry, modes []engine.Mode, remote bool, bad []Violation) {
-	for _, mode := range modes {
+func applySeedMetrics(reg *metrics.Registry, remote bool, bad []Violation) {
+	for _, mode := range matrix(remote) {
 		name := mode.String()
 		if remote {
 			name += "+remote"
@@ -347,16 +291,12 @@ func applySeedMetrics(reg *metrics.Registry, modes []engine.Mode, remote bool, b
 // all violations, in seed order. reg, when non-nil, accumulates sweep
 // metrics; its final snapshot does not depend on the worker count.
 func CheckSeeds(first int64, n int, budget Budget, workers int, reg *metrics.Registry, report func(seed int64, bad []Violation)) []Violation {
-	return sweepSeeds(first, n, workers, Modes, false, reg, report, func(seed int64) []Violation {
-		return checkSeed(seed, budget)
-	})
+	return sweepSeeds(first, n, budget, workers, false, reg, report)
 }
 
 // CheckSeedsRemote is CheckSeeds over the remote-shuffle matrix.
 func CheckSeedsRemote(first int64, n int, budget Budget, workers int, reg *metrics.Registry, report func(seed int64, bad []Violation)) []Violation {
-	return sweepSeeds(first, n, workers, RemoteModes, true, reg, report, func(seed int64) []Violation {
-		return checkSeedRemote(seed, budget)
-	})
+	return sweepSeeds(first, n, budget, workers, true, reg, report)
 }
 
 // sweepSeeds fans the per-seed checks over the shared sweep scheduler.
@@ -364,14 +304,14 @@ func CheckSeedsRemote(first int64, n int, budget Budget, workers int, reg *metri
 // engine goroutines only ever read it; violations land in per-seed
 // indexed slots and both metrics application and progress reporting
 // happen at ordered delivery time.
-func sweepSeeds(first int64, n, workers int, modes []engine.Mode, remote bool, reg *metrics.Registry, report func(seed int64, bad []Violation), check func(seed int64) []Violation) []Violation {
+func sweepSeeds(first int64, n int, budget Budget, workers int, remote bool, reg *metrics.Registry, report func(seed int64, bad []Violation)) []Violation {
 	engine.EnableInvariantChecks()
 	if n < 0 {
 		n = 0
 	}
 	per := make([][]Violation, n)
 	sweep.Do(context.Background(), n, workers, func(i int) error {
-		per[i] = check(first + int64(i))
+		per[i] = checkSeed(first+int64(i), budget, remote)
 		return nil
 	}, func(i int, err error) {
 		seed := first + int64(i)
@@ -379,11 +319,11 @@ func sweepSeeds(first int64, n, workers int, modes []engine.Mode, remote bool, r
 			// A panic that escaped runOne's recovery (harness bug, not an
 			// engine fault) — surface it as a violation instead of dying.
 			per[i] = append(per[i], Violation{
-				Seed: seed, Mode: modes[0], Invariant: "sweep-harness",
+				Seed: seed, Mode: matrix(remote)[0], Invariant: "sweep-harness",
 				Detail: err.Error(), Remote: remote,
 			})
 		}
-		applySeedMetrics(reg, modes, remote, per[i])
+		applySeedMetrics(reg, remote, per[i])
 		if report != nil {
 			report(seed, per[i])
 		}

@@ -72,11 +72,10 @@ type RunOptions struct {
 	// Ctx, when non-nil, is polled at event-loop boundaries; once it is
 	// canceled Run aborts and returns its error wrapped in ErrCanceled.
 	Ctx context.Context
-	// Queue selects the sim event-queue backend. The zero value
-	// (sim.QueueDefault) resolves to the process-wide default — the
-	// timing wheel. Both backends fire events in identical (at, seq)
-	// order, so results are byte-identical either way; the knob exists
-	// for the queue-parity tests and A/B benchmarking.
+	// Queue selects the sim event-queue backend. The zero value is the
+	// timing wheel (sim.QueueWheel). Both backends fire events in
+	// identical (at, seq) order, so results are byte-identical either
+	// way; the heap exists as the reference for the queue-parity tests.
 	Queue sim.QueueKind
 }
 

@@ -1,14 +1,15 @@
-// Package perf is the engine performance harness behind `make bench` and
-// `almbench -perf`. It runs a curated set of benchmarks — per-figure
-// reproductions plus microbenchmarks targeting the event-engine hot
-// paths (timer churn, fetch-session churn, event-heap footprint under
-// the Fig. 4 spatial-amplification load) — through testing.Benchmark and
-// renders the results as the BENCH_engine.json baseline checked into the
-// repo root.
+// Package perf is the repo's one benchmark registry: the harness behind
+// `make bench`, `almbench -perf` and `go test -bench Harness
+// ./internal/perf`. It holds one entry per paper experiment
+// (experiments.Registry, Section V figures and tables), whole-job
+// entries for the engine's hot paths (fetch-session churn, the remote
+// shuffle tier, the sweep scheduler, a 1000-node cluster) and
+// event-queue microbenchmarks. RunAll measures them through
+// testing.Benchmark and renders the BENCH_engine.json baseline checked
+// into the repo root.
 //
-// The workloads run at 1/8 of the paper's dataset sizes, matching the
-// root-package `go test -bench` suite, so numbers from either harness
-// are directly comparable.
+// Every workload runs at 1/8 of the paper's dataset sizes; `almbench`
+// without -scale reproduces the full-scale numbers in EXPERIMENTS.md.
 package perf
 
 import (
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 
 	"alm/internal/engine"
@@ -51,7 +53,9 @@ type Bench struct {
 	Budget *Budget
 }
 
-// Benchmarks returns the harness entries in a fixed, reproducible order.
+// Benchmarks returns the harness entries in a fixed, reproducible order:
+// microbenchmarks, whole jobs, then one entry per experiment in paper
+// order.
 //
 // Budgets sit ~10% above values measured after the allocation-conscious
 // rewrite (interned identifiers, run-local free lists, zero-alloc emit)
@@ -59,21 +63,13 @@ type Bench struct {
 // 2–2.5× every budget, so a regression of that class trips the gate
 // with a wide margin while allocator noise does not.
 func Benchmarks() []Bench {
-	return []Bench{
+	out := []Bench{
 		{
 			Name: "timer_churn",
 			Desc: "schedule/cancel cycles against a full watchdog window (the watchFetch pattern)",
 			Func: benchTimerChurn,
 			// Exactly one allocation per op: the *Timer itself. Zero
 			// tolerance — this one is deterministic.
-			Budget: &Budget{AllocsPerOp: 1, BytesPerOp: 64, Tolerance: 0},
-		},
-		{
-			Name: "queue_churn_wheel",
-			Desc: "the timer_churn pattern pinned to the timing-wheel backend: O(1) schedule + O(1) unlink",
-			Func: benchQueueChurnWheel,
-			// Same deterministic profile as timer_churn: one 64-byte
-			// Timer per op, nothing else.
 			Budget: &Budget{AllocsPerOp: 1, BytesPerOp: 64, Tolerance: 0},
 		},
 		{
@@ -86,34 +82,20 @@ func Benchmarks() []Bench {
 			Budget: &Budget{AllocsPerOp: 540, BytesPerOp: 60_000, Tolerance: 0.20},
 		},
 		{
-			Name:   "fetch_session_churn",
-			Desc:   "shuffle-heavy terasort (20 reducers), fetch sessions dominate",
-			Func:   benchFetchSessionChurn,
+			Name: "fetch_session_churn",
+			Desc: "shuffle-heavy terasort (20 reducers), fetch sessions dominate",
+			Func: func(b *testing.B) {
+				benchJob(b, harnessJob(workloads.Terasort(), 100<<30, 20, engine.ModeYARN), nil)
+			},
 			Budget: &Budget{AllocsPerOp: 65_000, BytesPerOp: 5_800_000, Tolerance: 0.20},
 		},
 		{
-			Name:   "fig4_heap_load",
-			Desc:   "event-heap footprint under the Fig. 4 spatial-amplification fault load",
-			Func:   benchFig4HeapLoad,
-			Budget: &Budget{AllocsPerOp: 71_000, BytesPerOp: 6_200_000, Tolerance: 0.20},
-		},
-		{
-			Name:   "fig3_temporal_amplification",
-			Desc:   "reproduce Fig. 3 (temporal amplification timeline)",
-			Func:   func(b *testing.B) { benchExperiment(b, "fig3") },
-			Budget: &Budget{AllocsPerOp: 8_000, BytesPerOp: 1_050_000, Tolerance: 0.20},
-		},
-		{
-			Name:   "fig4_spatial_amplification",
-			Desc:   "reproduce Fig. 4 (healthy reducers infected by one node failure)",
-			Func:   func(b *testing.B) { benchExperiment(b, "fig4") },
-			Budget: &Budget{AllocsPerOp: 71_000, BytesPerOp: 6_200_000, Tolerance: 0.20},
-		},
-		{
-			Name:   "table2_spatial_cure",
-			Desc:   "reproduce Table II (additional failures, YARN vs SFM)",
-			Func:   func(b *testing.B) { benchExperiment(b, "table2") },
-			Budget: &Budget{AllocsPerOp: 400_000, BytesPerOp: 36_000_000, Tolerance: 0.20},
+			Name: "wordcount_node_failure_alm",
+			Desc: "wordcount (1 reducer) under ALM, the reducer's node stopped at 50% reduce progress",
+			Func: func(b *testing.B) {
+				benchJob(b, harnessJob(workloads.Wordcount(), 10<<30, 1, engine.ModeALM),
+					func() *faults.Plan { return faults.StopNodeOfTaskAtReduceProgress(faults.Reduce, 0, 0.5) })
+			},
 		},
 		{
 			Name:   "remote_shuffle_crash",
@@ -134,37 +116,80 @@ func Benchmarks() []Bench {
 			Budget: &Budget{AllocsPerOp: 2_100_000, BytesPerOp: 300_000_000, Tolerance: 0.20},
 		},
 	}
+	for _, e := range experiments.Registry {
+		bm := Bench{
+			Name:   e.ID,
+			Desc:   "reproduce " + e.ID + ": " + e.Desc,
+			Func:   func(b *testing.B) { benchExperiment(b, e.Run, experimentPicks[e.ID]) },
+			Budget: experimentBudgets[e.ID],
+		}
+		if e.ID == "fig4" {
+			// Fig. 4 is a single job; running it without the timeline
+			// table lets the entry report that job's event-queue
+			// footprint under the spatial-amplification fault load.
+			bm.Desc = "the Fig. 4 job: event-queue footprint under its spatial-amplification fault load"
+			bm.Func = func(b *testing.B) {
+				benchJob(b, harnessJob(workloads.Terasort(), 100<<30, 20, engine.ModeYARN),
+					func() *faults.Plan { return faults.StopMOFNodeAtJobProgress(0.55) })
+			}
+		}
+		out = append(out, bm)
+	}
+	return out
+}
+
+// experimentBudgets are the allocation budgets of the budgeted
+// experiment entries, keyed by experiment ID.
+var experimentBudgets = map[string]*Budget{
+	"fig3":   {AllocsPerOp: 8_000, BytesPerOp: 1_050_000, Tolerance: 0.20},
+	"fig4":   {AllocsPerOp: 71_000, BytesPerOp: 6_200_000, Tolerance: 0.20},
+	"table2": {AllocsPerOp: 400_000, BytesPerOp: 36_000_000, Tolerance: 0.20},
+}
+
+// pick is one reproduced quantity an experiment entry reports with
+// b.ReportMetric: column summed over every table row whose label starts
+// with label.
+type pick struct{ label, column, unit string }
+
+// experimentPicks are the reproduced quantities attached to each
+// experiment entry, so `go test -bench Harness` output doubles as a
+// compact reproduction report.
+var experimentPicks = map[string][]pick{
+	"fig1": {
+		{"1 ReduceTask failure", "recovery_time_s", "reduce_recovery_s"},
+		{"200 MapTask failures", "recovery_time_s", "maps200_recovery_s"},
+	},
+	"fig2": {
+		{"terasort 1 reduce failure @75%", "slowdown_pct", "terasort_reduce75_slowdown_pct"},
+		{"wordcount 1 reduce failure @75%", "slowdown_pct", "wordcount_reduce75_slowdown_pct"},
+	},
+	"fig8": {
+		{"wordcount failure @90%", "alg_gain_pct", "wordcount90_alg_gain_pct"},
+		{"terasort failure @90%", "alg_gain_pct", "terasort90_alg_gain_pct"},
+	},
+	"fig9": {{"wordcount node fail @90%", "sfm_gain_pct", "wordcount90_sfm_gain_pct"}},
+	"table2": {
+		{"yarn,", "additional_failures", "yarn_additional_failures"},
+		{"sfm,", "additional_failures", "sfm_additional_failures"},
+	},
+	"fig11": {{"terasort 320 GB", "overhead_pct", "alg320_overhead_pct"}},
+	"fig13": {
+		{"320 GB, rack-level", "vs_node_pct", "rack320_vs_node_pct"},
+		{"320 GB, cluster-level", "vs_node_pct", "cluster320_vs_node_pct"},
+	},
+	"fig14":   {{"5 failures, 32 GB/reducer", "sfm_gain_pct", "f5_32gb_sfm_gain_pct"}},
+	"fig15":   {{"secondarysort", "alg_extra_gain_pct", "secondarysort_alg_gain_pct"}},
+	"related": {{"heavyweight checkpointing (Sec. III strawman)", "overhead_pct", "ckpt_overhead_pct"}},
 }
 
 // benchTimerChurn measures the watchFetch pattern: keep a sliding window
 // of armed timers, canceling the oldest as each new one is armed. With
-// lazy cancellation the event heap grows with the total number of
-// schedules; with sift-removal it stays at the window size, which the
+// lazy cancellation the event queue grows with the total number of
+// schedules; with O(1) unlink it stays at the window size, which the
 // max_event_queue metric makes visible.
 func benchTimerChurn(b *testing.B) {
 	const window = 1024
 	eng := sim.NewEngine(1)
-	ring := make([]*sim.Timer, window)
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		slot := i % window
-		if ring[slot] != nil {
-			ring[slot].Stop()
-		}
-		ring[slot] = eng.Schedule(sim.Time(1<<40), fn)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(eng.MaxQueueLen()), "max_event_queue")
-}
-
-// benchQueueChurnWheel is benchTimerChurn pinned to the wheel backend,
-// so the baseline keeps an explicit wheel entry even if the process-wide
-// default queue is ever flipped for an A/B run (almbench -queue).
-func benchQueueChurnWheel(b *testing.B) {
-	const window = 1024
-	eng := sim.NewEngine(1, sim.WithQueue(sim.QueueWheel))
 	ring := make([]*sim.Timer, window)
 	fn := func() {}
 	b.ReportAllocs()
@@ -193,7 +218,7 @@ func benchQueueCascade(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine(1, sim.WithQueue(sim.QueueWheel))
+		eng := sim.NewEngine(1)
 		for _, d := range delays {
 			eng.Schedule(d, fn)
 		}
@@ -201,7 +226,16 @@ func benchQueueCascade(b *testing.B) {
 	}
 }
 
-func scaled(bytes int64) int64 { return int64(float64(bytes) * Scale) }
+// harnessJob is a paper benchmark job at harness Scale and seed 11.
+func harnessJob(w *workloads.Workload, inputBytes int64, reduces int, mode engine.Mode) engine.JobSpec {
+	return engine.JobSpec{
+		Workload:   w,
+		InputBytes: int64(float64(inputBytes) * Scale),
+		NumReduces: reduces,
+		Mode:       mode,
+		Seed:       11,
+	}
+}
 
 func benchJob(b *testing.B, spec engine.JobSpec, plan func() *faults.Plan) {
 	b.Helper()
@@ -226,40 +260,15 @@ func benchJob(b *testing.B, spec engine.JobSpec, plan func() *faults.Plan) {
 	b.ReportMetric(float64(res.Events.Stopped), "stopped_events")
 }
 
-func benchFetchSessionChurn(b *testing.B) {
-	benchJob(b, engine.JobSpec{
-		Workload:   workloads.Terasort(),
-		InputBytes: scaled(100 << 30),
-		NumReduces: 20,
-		Mode:       engine.ModeYARN,
-		Seed:       11,
-	}, nil)
-}
-
-func benchFig4HeapLoad(b *testing.B) {
-	benchJob(b, engine.JobSpec{
-		Workload:   workloads.Terasort(),
-		InputBytes: scaled(100 << 30),
-		NumReduces: 20,
-		Mode:       engine.ModeYARN,
-		Seed:       11,
-	}, func() *faults.Plan { return faults.StopMOFNodeAtJobProgress(0.55) })
-}
-
 // benchRemoteShuffleCrash drives the shuffle-heavy terasort through the
 // remote tier (push, replicate, commit, serve) and crashes the busiest
 // MOF node mid-shuffle, so the tier's fetch-redirect and repair paths —
 // the //alm:hotpath sections of internal/shuffletier — dominate the
 // profile instead of local fetch sessions.
 func benchRemoteShuffleCrash(b *testing.B) {
-	benchJob(b, engine.JobSpec{
-		Workload:   workloads.Terasort(),
-		InputBytes: scaled(100 << 30),
-		NumReduces: 20,
-		Mode:       engine.ModeALM,
-		Seed:       11,
-		Shuffle:    engine.ShuffleOptions{Remote: true},
-	}, func() *faults.Plan { return faults.CrashMOFNodeAtJobProgress(0.55) })
+	spec := harnessJob(workloads.Terasort(), 100<<30, 20, engine.ModeALM)
+	spec.Shuffle.Remote = true
+	benchJob(b, spec, func() *faults.Plan { return faults.CrashMOFNodeAtJobProgress(0.55) })
 }
 
 // benchSweepParallel measures the sweep scheduler itself: a fan of small
@@ -331,16 +340,32 @@ func benchEngine1000Nodes(b *testing.B) {
 	b.ReportMetric(float64(res.Events.MaxQueue), "max_event_queue")
 }
 
-func benchExperiment(b *testing.B, id string) {
+// benchExperiment times one experiment end to end, then reports picks
+// from its table. A pick that matches no row fails the entry, so a
+// renamed table row cannot silently drop a reproduced quantity.
+func benchExperiment(b *testing.B, run experiments.Func, picks []pick) {
 	b.Helper()
-	f, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("experiment %s not registered", id)
-	}
+	var tbl *experiments.Table
 	for i := 0; i < b.N; i++ {
-		if _, err := f(experiments.Options{Scale: Scale}); err != nil {
+		var err error
+		if tbl, err = run(experiments.Options{Scale: Scale}); err != nil {
 			b.Fatal(err)
 		}
+	}
+	for _, p := range picks {
+		sum, found := 0.0, false
+		for _, r := range tbl.Rows {
+			if !strings.HasPrefix(r.Label, p.label) {
+				continue
+			}
+			if v, ok := tbl.Value(r.Label, p.column); ok {
+				sum, found = sum+v, true
+			}
+		}
+		if !found {
+			b.Fatalf("no %q row with column %q for metric %s", p.label, p.column, p.unit)
+		}
+		b.ReportMetric(sum, p.unit)
 	}
 }
 

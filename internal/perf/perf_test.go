@@ -3,6 +3,8 @@ package perf
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -24,6 +26,43 @@ func TestHarnessNamesUnique(t *testing.T) {
 		seen[bm.Name] = true
 		if bm.Desc == "" || bm.Func == nil {
 			t.Errorf("harness entry %q incomplete", bm.Name)
+		}
+	}
+}
+
+// TestBaselineMatchesRegistry keeps the checked-in BENCH_engine.json in
+// step with the registry: every entry is recorded with the budget it
+// declares, and the file holds nothing else but the paper_sweep_*
+// entries `almbench -perf-sweep` folds in. Regenerate with `make bench`.
+func TestBaselineMatchesRegistry(t *testing.T) {
+	f, err := os.Open("../../BENCH_engine.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	doc, err := ReadJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := make(map[string]Result, len(doc.Results))
+	for _, r := range doc.Results {
+		recorded[r.Name] = r
+	}
+	registered := map[string]bool{}
+	for _, bm := range Benchmarks() {
+		registered[bm.Name] = true
+		r, ok := recorded[bm.Name]
+		if !ok {
+			t.Errorf("%s: missing from BENCH_engine.json", bm.Name)
+			continue
+		}
+		if !reflect.DeepEqual(r.Budget, bm.Budget) {
+			t.Errorf("%s: recorded budget %+v, registry declares %+v", bm.Name, r.Budget, bm.Budget)
+		}
+	}
+	for _, r := range doc.Results {
+		if !registered[r.Name] && !strings.HasPrefix(r.Name, "paper_sweep_") {
+			t.Errorf("%s: in BENCH_engine.json but not in the registry", r.Name)
 		}
 	}
 }

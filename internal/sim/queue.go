@@ -1,29 +1,22 @@
 package sim
 
-import "sync/atomic"
-
 // QueueKind selects an event-queue backend for an Engine.
 type QueueKind uint8
 
 const (
-	// QueueDefault resolves to the process-wide default backend at
-	// NewEngine time (the wheel, unless SetDefaultQueue changed it).
-	QueueDefault QueueKind = iota
 	// QueueWheel is the hierarchical timing wheel: O(1) Schedule and
 	// Stop, cascading on clock advance, an overflow heap for events
-	// beyond the wheel horizon. The default backend.
-	QueueWheel
+	// beyond the wheel horizon. The zero value, so the default backend.
+	QueueWheel QueueKind = iota
 	// QueueHeap is the binary min-heap over (at, seq): O(log n)
 	// Schedule/Stop/pop. Kept as the oracle for the differential tester
-	// and selectable for A/B measurement via `almbench -queue heap`.
+	// and for the side-by-side queue benchmarks.
 	QueueHeap
 )
 
-// String names the backend (flag value syntax).
+// String names the backend.
 func (k QueueKind) String() string {
 	switch k {
-	case QueueDefault:
-		return "default"
 	case QueueWheel:
 		return "wheel"
 	case QueueHeap:
@@ -31,39 +24,6 @@ func (k QueueKind) String() string {
 	}
 	return "unknown"
 }
-
-// ParseQueueKind maps a flag value to a QueueKind. Empty and "default"
-// mean the process default.
-func ParseQueueKind(s string) (QueueKind, bool) {
-	switch s {
-	case "", "default":
-		return QueueDefault, true
-	case "wheel":
-		return QueueWheel, true
-	case "heap":
-		return QueueHeap, true
-	}
-	return QueueDefault, false
-}
-
-// defaultQueue holds the process-wide backend used when an engine is
-// constructed without WithQueue. Stored atomically so a tool may flip it
-// at startup and then fan engines across sweep workers; zero means "not
-// overridden" and reads as QueueWheel.
-var defaultQueue atomic.Uint32
-
-// DefaultQueue returns the process-wide default backend.
-func DefaultQueue() QueueKind {
-	if k := QueueKind(defaultQueue.Load()); k != QueueDefault {
-		return k
-	}
-	return QueueWheel
-}
-
-// SetDefaultQueue overrides the process-wide default backend — the
-// `almbench -queue` escape hatch for measuring the whole harness on
-// either implementation. QueueDefault restores the built-in default.
-func SetDefaultQueue(k QueueKind) { defaultQueue.Store(uint32(k)) }
 
 // eventQueue is the contract between the Engine and a queue backend.
 // The Engine guarantees single-threaded access and that every pushed

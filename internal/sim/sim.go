@@ -157,9 +157,8 @@ type Engine struct {
 // Option configures an Engine at construction time.
 type Option func(*Engine)
 
-// WithQueue selects the event-queue backend. The default (QueueDefault)
-// resolves to the process-wide default — the timing wheel unless
-// SetDefaultQueue changed it.
+// WithQueue selects the event-queue backend. Without it an engine uses
+// the timing wheel (QueueWheel, the zero value).
 func WithQueue(k QueueKind) Option {
 	return func(e *Engine) { e.kind = k }
 }
@@ -171,9 +170,6 @@ func NewEngine(seed int64, opts ...Option) *Engine {
 		if opt != nil {
 			opt(e)
 		}
-	}
-	if e.kind == QueueDefault {
-		e.kind = DefaultQueue()
 	}
 	switch e.kind {
 	case QueueHeap:
