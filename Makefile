@@ -4,7 +4,7 @@
 GO ?= go
 ALMVET := bin/almvet
 
-.PHONY: all build test race vet fix-check lint-test bench bench-alloc bench-compare bench-smoke bench-sweep sweep-race queue-diff chaos chaos-smoke shuffle-smoke tournament-smoke metrics-smoke ci clean
+.PHONY: all build test race vet fix-check lint-test bench bench-alloc bench-compare bench-smoke bench-sweep sweep-race queue-diff flow-diff chaos chaos-smoke shuffle-smoke tournament-smoke metrics-smoke ci clean
 
 all: build
 
@@ -83,6 +83,19 @@ sweep-race:
 queue-diff:
 	$(GO) test -count=1 -run 'TestQueueDifferential|TestQueueParity' ./internal/sim ./internal/engine
 
+# flow-diff is the max-min allocator's differential gate: drives the
+# port-heap allocator and the scan reference kept in
+# internal/fairshare/reference_test.go through fixed-seed randomized
+# scripts of StartFlow (repeated ports, empty port lists, zero-byte
+# flows), Cancel, SetCapacity (down and restore), SetPriorityCap (add,
+# change, remove), new ports and runs to completion — three seeds of
+# 100k operations over 2 to 600 ports plus many short scripts — and
+# asserts bit-identical rates, remaining bytes, completion times and
+# callback order after every operation. It also runs the max-min
+# optimality property on both allocators (DESIGN.md §10).
+flow-diff:
+	$(GO) test -count=1 -run 'TestFlowDifferential|TestQuickCapacityConservation|TestDuplicateCrossings|TestPortRankOrdersNames' ./internal/fairshare
+
 # bench-compare diffs a saved baseline against the checked-in
 # BENCH_engine.json: per-benchmark ns/op, B/op and allocs/op deltas.
 # Usage: make bench-compare OLD=old.json
@@ -137,7 +150,7 @@ metrics-smoke:
 	$(GO) run ./cmd/almrun -workload terasort -size-gb 12.5 -reduces 20 -mode yarn -fail mof-node -at 0.55 -metrics bin/metrics-b.prom
 	cmp bin/metrics-a.prom bin/metrics-b.prom
 
-ci: build test race vet fix-check bench-smoke bench-alloc sweep-race queue-diff chaos-smoke shuffle-smoke tournament-smoke metrics-smoke
+ci: build test race vet fix-check bench-smoke bench-alloc sweep-race queue-diff flow-diff chaos-smoke shuffle-smoke tournament-smoke metrics-smoke
 
 clean:
 	rm -rf bin

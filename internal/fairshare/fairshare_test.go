@@ -1,6 +1,7 @@
 package fairshare
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -224,39 +225,282 @@ func TestQuickEqualSharing(t *testing.T) {
 	}
 }
 
-// Property: total allocated rate on any port never exceeds its capacity.
+// Property: on both the allocator and the reference, every allocation is
+// max-min optimal (see checkMaxMin) — at the start, after a port goes
+// down, after it comes back and after every completion. Port names
+// repeat and a flow may list a port twice.
 func TestQuickCapacityConservation(t *testing.T) {
-	f := func(seed int64) bool {
-		e := sim.NewEngine(seed)
+	for _, impl := range []string{"heap", "reference"} {
+		t.Run(impl, func(t *testing.T) {
+			f := func(seed int64) bool {
+				e := sim.NewEngine(seed)
+				var d driver = &heapDriver{s: NewSystem(e)}
+				if impl == "reference" {
+					d = &refDriver{s: newRefSystem(e)}
+				}
+				rng := rand.New(rand.NewSource(seed))
+				caps := make([]float64, 5)
+				for i := range caps {
+					caps[i] = float64(rng.Intn(900) + 100)
+					d.newPort("p", caps[i])
+				}
+				for i := 0; i < 20; i++ {
+					k := rng.Intn(3) + 1
+					sel := make([]int, 0, k)
+					for j := 0; j < k; j++ {
+						sel = append(sel, rng.Intn(len(caps)))
+					}
+					maxRate := 0.0
+					if rng.Intn(4) == 0 {
+						maxRate = float64(rng.Intn(300) + 1)
+					}
+					d.startFlow("f", int64(rng.Intn(10000)+1), sel, maxRate, nil)
+				}
+				for step := 0; ; step++ {
+					if err := checkMaxMin(d.view()); err != nil {
+						t.Logf("seed %d step %d: %v", seed, step, err)
+						return false
+					}
+					switch step {
+					case 3:
+						d.setCapacity(0, 0)
+					case 6:
+						d.setCapacity(0, caps[0])
+					default:
+						if !e.Step() {
+							return true
+						}
+					}
+				}
+			}
+			cfg := &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(9))}
+			if err := quick.Check(f, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// allocView is an allocator-neutral snapshot of the live flows: port
+// capacities, and each flow's rate and crossings (a port listed twice is
+// crossed twice). It lets the property checks run unchanged on the
+// allocator and on the reference.
+type allocView struct {
+	capacity []float64
+	flows    []flowView
+}
+
+type flowView struct {
+	rate  float64
+	ports []int // indexes into allocView.capacity, one per crossing
+}
+
+func viewOf(flows []*Flow) allocView {
+	var v allocView
+	idx := map[*Port]int{}
+	for _, f := range flows {
+		if f.finished || f.canceled {
+			continue
+		}
+		fv := flowView{rate: f.rate}
+		for _, c := range f.cross {
+			i, ok := idx[c.port]
+			if !ok {
+				i = len(v.capacity)
+				idx[c.port] = i
+				v.capacity = append(v.capacity, c.port.capacity)
+			}
+			fv.ports = append(fv.ports, i)
+		}
+		v.flows = append(v.flows, fv)
+	}
+	return v
+}
+
+func refViewOf(flows []*refFlow) allocView {
+	var v allocView
+	idx := map[*refPort]int{}
+	for _, f := range flows {
+		if f.finished || f.canceled {
+			continue
+		}
+		fv := flowView{rate: f.rate}
+		for _, p := range f.ports {
+			i, ok := idx[p]
+			if !ok {
+				i = len(v.capacity)
+				idx[p] = i
+				v.capacity = append(v.capacity, p.capacity)
+			}
+			fv.ports = append(fv.ports, i)
+		}
+		v.flows = append(v.flows, fv)
+	}
+	return v
+}
+
+// checkMaxMin asserts that an allocation is feasible and max-min fair:
+//   - the rates crossing a port sum to at most its capacity;
+//   - a flow crossing a zero-capacity port is stalled;
+//   - every flow with ports has a bottleneck: a port it crosses that is
+//     saturated (within 1e-9 relative) and on which no flow has a higher
+//     rate.
+func checkMaxMin(v allocView) error {
+	const tol = 1e-9
+	load := make([]float64, len(v.capacity))
+	top := make([]float64, len(v.capacity))
+	for _, f := range v.flows {
+		for _, p := range f.ports {
+			load[p] += f.rate
+			top[p] = math.Max(top[p], f.rate)
+		}
+	}
+	for p, c := range v.capacity {
+		if load[p] > c*(1+tol) {
+			return fmt.Errorf("port %d: load %v exceeds capacity %v", p, load[p], c)
+		}
+	}
+	for i, f := range v.flows {
+		if len(f.ports) == 0 {
+			continue // unconstrained: completes at once
+		}
+		bottleneck := false
+		for _, p := range f.ports {
+			c := v.capacity[p]
+			if c == 0 && f.rate != 0 {
+				return fmt.Errorf("flow %d: rate %v across zero-capacity port %d", i, f.rate, p)
+			}
+			if load[p] >= c*(1-tol) && top[p] <= f.rate*(1+tol) {
+				bottleneck = true
+			}
+		}
+		if !bottleneck {
+			return fmt.Errorf("flow %d: rate %v has no bottleneck among ports %v (load %v, capacity %v)",
+				i, f.rate, f.ports, load, v.capacity)
+		}
+	}
+	return nil
+}
+
+// A pipelined replica write lists the writer's egress (and, across
+// racks, its uplink) once per remote replica, so a flow may cross a port
+// more than once. Such a flow draws its rate from the port once per
+// crossing, is frozen once, counts once in ActiveFlows, and leaves every
+// crossing when it is canceled, completes or drops its cap.
+func TestDuplicateCrossings(t *testing.T) {
+	// p (120 B/s) is crossed by a twice and by b and c once: four
+	// crossings at 30 B/s each. q is wide.
+	type net struct {
+		e       *sim.Engine
+		s       *System
+		p, q    *Port
+		a, b, c *Flow
+	}
+	build := func(aBytes int64, aCap float64) *net {
+		e := sim.NewEngine(1)
 		s := NewSystem(e)
-		rng := rand.New(rand.NewSource(seed))
-		ports := make([]*Port, 5)
-		for i := range ports {
-			ports[i] = s.NewPort("p", float64(rng.Intn(900)+100))
-		}
-		for i := 0; i < 20; i++ {
-			k := rng.Intn(3) + 1
-			sel := make([]*Port, 0, k)
-			for j := 0; j < k; j++ {
-				sel = append(sel, ports[rng.Intn(len(ports))])
-			}
-			s.StartFlow("f", int64(rng.Intn(10000)+1), sel, 0, nil)
-		}
-		// Check the invariant at the initial allocation.
-		for _, p := range ports {
-			var sum float64
-			for fl := range p.flows {
-				sum += fl.rate
-			}
-			if sum > p.capacity*1.0001 {
-				return false
-			}
-		}
-		e.RunAll()
-		return true
+		n := &net{e: e, s: s, p: s.NewPort("p", 120), q: s.NewPort("q", 1000)}
+		n.a = s.StartFlow("a", aBytes, []*Port{n.p, n.q, n.p}, aCap, nil)
+		n.b = s.StartFlow("b", 1e9, []*Port{n.p}, 0, nil)
+		n.c = s.StartFlow("c", 1e9, []*Port{n.q, n.p}, 0, nil)
+		return n
 	}
-	cfg := &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(9))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name       string
+		aBytes     int64
+		aCap       float64
+		act        func(n *net)
+		rates      [3]float64 // a, b, c; -1 once a flow has ended
+		pFlows     int
+		qFlows     int
+		checkAfter func(t *testing.T, n *net)
+	}{
+		{name: "rates", aBytes: 1e9, rates: [3]float64{30, 30, 30}, pFlows: 3, qFlows: 2},
+		{name: "cancel", aBytes: 1e9, act: func(n *net) { n.a.Cancel() },
+			rates: [3]float64{-1, 60, 60}, pFlows: 2, qFlows: 1},
+		{name: "cancel-after-swap", aBytes: 1e9, act: func(n *net) { n.b.Cancel(); n.a.Cancel() },
+			rates: [3]float64{-1, -1, 120}, pFlows: 1, qFlows: 1},
+		{name: "completion", aBytes: 30, act: func(n *net) { n.e.Run(2 * time.Second) },
+			rates: [3]float64{-1, 60, 60}, pFlows: 2, qFlows: 1},
+		// Capped at 10, a takes 20 of p; b and c split the other 100.
+		{name: "capped", aBytes: 1e9, aCap: 10, rates: [3]float64{10, 50, 50}, pFlows: 3, qFlows: 2},
+		{name: "cap-removed", aBytes: 1e9, aCap: 10, act: func(n *net) { n.a.SetPriorityCap(0) },
+			rates: [3]float64{30, 30, 30}, pFlows: 3, qFlows: 2,
+			checkAfter: func(t *testing.T, n *net) {
+				if len(n.s.capPortFree) != 1 || n.s.capPortFree[0].ActiveFlows() != 0 {
+					t.Fatalf("dropped cap port not recycled empty: %d free", len(n.s.capPortFree))
+				}
+				if len(n.a.cross) != 3 {
+					t.Fatalf("a has %d crossings after dropping its cap, want 3", len(n.a.cross))
+				}
+			}},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := build(tc.aBytes, tc.aCap)
+			if tc.act != nil {
+				tc.act(n)
+			}
+			for i, f := range []*Flow{n.a, n.b, n.c} {
+				want := tc.rates[i]
+				if live := !f.Done() && !f.Canceled(); live != (want >= 0) {
+					t.Fatalf("flow %s: live = %v, want %v", f.Name(), live, want >= 0)
+				}
+				if want >= 0 && !almostEqual(f.Rate(), want, 1e-9) {
+					t.Errorf("rate(%s) = %v, want %v", f.Name(), f.Rate(), want)
+				}
+			}
+			if n.p.ActiveFlows() != tc.pFlows || n.q.ActiveFlows() != tc.qFlows {
+				t.Errorf("ActiveFlows: p=%d q=%d, want %d %d", n.p.ActiveFlows(), n.q.ActiveFlows(), tc.pFlows, tc.qFlows)
+			}
+			if err := slabErr(n.s); err != nil {
+				t.Fatal(err)
+			}
+			if tc.checkAfter != nil {
+				tc.checkAfter(t, n)
+			}
+			for _, f := range []*Flow{n.a, n.b, n.c} {
+				f.Cancel()
+			}
+			if n.p.ActiveFlows() != 0 || n.q.ActiveFlows() != 0 || n.s.ActiveFlows() != 0 {
+				t.Fatalf("after canceling all: p=%d q=%d system=%d", n.p.ActiveFlows(), n.q.ActiveFlows(), n.s.ActiveFlows())
+			}
+		})
+	}
+}
+
+// slabErr checks the flow slabs against the crossings that index them:
+// every in-flight flow sits at its own index in the system slab and,
+// once, at the slot its first crossing of each port records.
+func slabErr(s *System) error {
+	onPort := map[*Port]int{}
+	for i, f := range s.flows {
+		if int(f.sidx) != i {
+			return fmt.Errorf("flow %s at system slot %d records %d", f.name, i, f.sidx)
+		}
+		slots := map[*Port]int{}
+		for _, c := range f.cross {
+			if c.slot < 0 {
+				continue
+			}
+			slots[c.port]++
+			if c.slot >= len(c.port.flows) || c.port.flows[c.slot] != f {
+				return fmt.Errorf("flow %s: crossing of %s records slot %d, not its own", f.name, c.port.name, c.slot)
+			}
+		}
+		for _, c := range f.cross {
+			if slots[c.port] != 1 {
+				return fmt.Errorf("flow %s holds %d slots on %s, want 1", f.name, slots[c.port], c.port.name)
+			}
+		}
+		for p := range slots {
+			onPort[p]++
+		}
+	}
+	for p, n := range onPort {
+		if len(p.flows) != n {
+			return fmt.Errorf("port %s slab holds %d flows, %d cross it", p.name, len(p.flows), n)
+		}
+	}
+	return nil
 }
