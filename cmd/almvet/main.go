@@ -5,33 +5,20 @@
 // discipline, and hot-path allocation budgets. See DESIGN.md "Static
 // analysis gates".
 //
-// Two modes:
-//
-//	go vet -vettool=$(pwd)/bin/almvet ./...   # driven by cmd/go (CI mode)
-//	almvet ./...                              # standalone, no go tool needed
-//
-// Under cmd/go, almvet speaks the vettool protocol (-V=full handshake,
-// -flags JSON, then one vet.cfg per package unit); standalone mode loads
-// and type-checks packages itself through internal/lint/loader, printing
-// diagnostics in a byte-stable global order (file, line, column,
-// analyzer).
-//
-// Analyzer selection mirrors vet: `almvet -detnow ./...` runs only
-// detnow; `almvet -detnow=false ./...` runs everything else.
-//
-// Standalone mode can also apply the analyzers' suggested fixes:
-//
-//	almvet -fix ./...        # rewrite files in place (gofmt-clean)
+//	almvet ./...             # report findings; exit 2 if there are any
+//	almvet -fix ./...        # apply suggested fixes in place (gofmt-clean)
 //	almvet -fix -diff ./...  # dry run: print a unified diff, write nothing
 //
-// -fix -diff exits 2 when the diff is non-empty, so CI can assert that
-// the tree has no outstanding machine-applicable fixes.
+// almvet loads and type-checks packages itself through
+// internal/lint/loader, runs every analyzer whose registry scope covers
+// the package, and prints diagnostics in one byte-stable global order
+// (file, line, column, analyzer). -fix -diff exits 2 when the diff is
+// non-empty or a finding has no fix, so CI can assert that the tree has
+// nothing outstanding.
 package main
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -45,7 +32,6 @@ import (
 	"alm/internal/lint/fixer"
 	"alm/internal/lint/loader"
 	"alm/internal/lint/registry"
-	"alm/internal/lint/unitchecker"
 )
 
 func main() {
@@ -55,106 +41,31 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("almvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	vFlag := fs.String("V", "", "print version and exit (cmd/go handshake)")
-	flagsFlag := fs.Bool("flags", false, "print JSON flag descriptions and exit (cmd/go handshake)")
-	jsonFlag := fs.Bool("json", false, "accepted for vet compatibility (ignored)")
-	_ = jsonFlag
-	fixFlag := fs.Bool("fix", false, "apply suggested fixes (standalone mode only)")
+	fixFlag := fs.Bool("fix", false, "apply suggested fixes")
 	diffFlag := fs.Bool("diff", false, "with -fix, print a unified diff instead of writing files")
-	analyzerFlags := make(map[string]*bool)
-	for _, s := range registry.All() {
-		analyzerFlags[s.Name] = fs.Bool(s.Name, false, "enable only the listed analyzers: "+firstLine(s.Doc))
-	}
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	if *vFlag != "" {
-		// cmd/go folds this whole line into the build-cache key for vet
-		// results, so it must change whenever the tool's behavior can:
-		// hash the binary itself. (A literal like "devel" is rejected.)
-		fmt.Fprintf(stdout, "almvet version almvet-%s\n", selfHash())
-		return 0
-	}
-	if *flagsFlag {
-		type jsonFlagDesc struct {
-			Name  string
-			Bool  bool
-			Usage string
-		}
-		var descs []jsonFlagDesc
-		for _, s := range registry.All() {
-			descs = append(descs, jsonFlagDesc{Name: s.Name, Bool: true, Usage: firstLine(s.Doc)})
-		}
-		data, err := json.MarshalIndent(descs, "", "\t")
-		if err != nil {
-			fmt.Fprintf(stderr, "almvet: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "%s\n", data)
-		return 0
-	}
-
-	enable := selection(fs, analyzerFlags)
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		if *fixFlag || *diffFlag {
-			fmt.Fprintln(stderr, "almvet: -fix/-diff are standalone-mode flags; run almvet directly, not through go vet")
-			return 2
-		}
-		return unitchecker.Main(rest[0], enable, stderr)
 	}
 	if *diffFlag && !*fixFlag {
 		fmt.Fprintln(stderr, "almvet: -diff requires -fix")
 		return 2
 	}
-	return standalone(rest, enable, fixMode{apply: *fixFlag, diff: *diffFlag}, stdout, stderr)
+	return analyze(fs.Args(), fixMode{apply: *fixFlag, diff: *diffFlag}, stdout, stderr)
 }
 
-// selection turns the explicitly-set analyzer flags into an enable set,
-// with vet's semantics: naming any analyzer runs only those named true;
-// naming only =false exclusions runs everything else; nil means all.
-func selection(fs *flag.FlagSet, analyzerFlags map[string]*bool) map[string]bool {
-	explicit := make(map[string]bool)
-	anyTrue := false
-	fs.Visit(func(f *flag.Flag) {
-		if v, ok := analyzerFlags[f.Name]; ok {
-			explicit[f.Name] = *v
-			if *v {
-				anyTrue = true
-			}
-		}
-	})
-	if len(explicit) == 0 {
-		return nil
-	}
-	enable := make(map[string]bool)
-	for _, s := range registry.All() {
-		if anyTrue {
-			enable[s.Name] = explicit[s.Name]
-		} else {
-			v, set := explicit[s.Name]
-			enable[s.Name] = !set || v
-		}
-	}
-	return enable
-}
-
-// fixMode selects what standalone does with suggested fixes: nothing,
+// fixMode selects what analyze does with suggested fixes: nothing,
 // rewrite files in place, or print a dry-run unified diff.
 type fixMode struct {
 	apply bool
 	diff  bool
 }
 
-// standalone loads package patterns itself and runs the scoped suite —
-// `almvet ./...` with no go-tool driver, handy for editors and quick
-// runs. Diagnostics from every package are collected first and emitted
-// in one byte-stable global order — (file, line, column, analyzer) —
-// so runs over different pattern spellings of the same package set
-// produce identical output.
-func standalone(patterns []string, enable map[string]bool, mode fixMode, stdout, stderr io.Writer) int {
+// analyze loads package patterns and runs the scoped suite.
+// Diagnostics from every package are collected first and emitted in one
+// byte-stable global order — (file, line, column, analyzer) — so runs
+// over different pattern spellings of the same package set produce
+// identical output.
+func analyze(patterns []string, mode fixMode, stdout, stderr io.Writer) int {
 	l, err := loader.New(".")
 	if err != nil {
 		fmt.Fprintf(stderr, "almvet: %v\n", err)
@@ -170,9 +81,6 @@ func standalone(patterns []string, enable map[string]bool, mode fixMode, stdout,
 	for _, path := range paths {
 		var analyzers []*analysis.Analyzer
 		for _, s := range registry.All() {
-			if enable != nil && !enable[s.Name] {
-				continue
-			}
 			if s.AppliesTo(path) {
 				analyzers = append(analyzers, s.Analyzer)
 			}
@@ -193,8 +101,7 @@ func standalone(patterns []string, enable map[string]bool, mode fixMode, stdout,
 			exit = 1
 			continue
 		}
-		diags, err := driver.Run(driver.Target{Fset: l.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info},
-			analyzers, driver.Options{})
+		diags, err := driver.Run(driver.Target{Fset: l.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info}, analyzers)
 		if err != nil {
 			fmt.Fprintf(stderr, "almvet: %v\n", err)
 			exit = 1
@@ -203,19 +110,7 @@ func standalone(patterns []string, enable map[string]bool, mode fixMode, stdout,
 		all = append(all, diags...)
 	}
 
-	sort.SliceStable(all, func(i, j int) bool {
-		pi, pj := l.Fset.Position(all[i].Pos), l.Fset.Position(all[j].Pos)
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
-		}
-		if pi.Line != pj.Line {
-			return pi.Line < pj.Line
-		}
-		if pi.Column != pj.Column {
-			return pi.Column < pj.Column
-		}
-		return all[i].Category < all[j].Category
-	})
+	driver.Sort(l.Fset, all)
 
 	if !mode.apply {
 		for _, d := range all {
@@ -404,23 +299,4 @@ func hasGoFiles(dir string) bool {
 func dirExists(p string) bool {
 	fi, err := os.Stat(p)
 	return err == nil && fi.IsDir()
-}
-
-// selfHash content-hashes the running binary for the -V=full tool ID.
-func selfHash() string {
-	exe, err := os.Executable()
-	if err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			sum := sha256.Sum256(data)
-			return fmt.Sprintf("%x", sum[:6])
-		}
-	}
-	return "unhashed"
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }

@@ -22,21 +22,20 @@
 // The //alm:hotpath marker is propagated interprocedurally within the
 // package: a function statically called from a marked function is hot
 // too, and its diagnostics name the marked root so the reader can trace
-// why the budget applies. (Cross-package propagation would need analysis
-// facts, which the vettool protocol of this in-tree framework does not
-// carry; marking the callee package's entry points directly keeps the
-// contract visible at the declaration anyway.)
+// why the budget applies. (Analyzers run one package at a time, so
+// cross-package propagation would need analysis facts this in-tree
+// framework does not have; marking the callee package's entry points
+// directly keeps the contract visible at the declaration anyway.)
 package allocflow
 
 import (
-	"bytes"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
 	"strings"
 
 	"alm/internal/lint/analysis"
+	"alm/internal/lint/astutil"
 	"alm/internal/lint/cfg"
 )
 
@@ -93,7 +92,7 @@ func hotFunctions(pass *analysis.Pass) []hotFunc {
 	rootOf := map[types.Object]string{}
 	var frontier []types.Object
 	for _, f := range fns {
-		if hasHotpathMarker(f.decl.Doc) {
+		if astutil.IsHotpath(f.decl.Doc) {
 			rootOf[f.obj] = ""
 			frontier = append(frontier, f.obj)
 		}
@@ -110,7 +109,7 @@ func hotFunctions(pass *analysis.Pass) []hotFunc {
 			if !ok {
 				return true
 			}
-			callee := calleeObject(pass, call)
+			callee := astutil.CalleeObject(pass.TypesInfo, call)
 			if callee == nil || byObj[callee] == nil {
 				return true
 			}
@@ -355,13 +354,13 @@ func zeroCapExpr(pass *analysis.Pass, e ast.Expr) bool {
 func preallocFix(pass *analysis.Pass, h hotFunc, a *ast.AssignStmt, declStmt ast.Stmt, obj types.Object) (analysis.SuggestedFix, bool) {
 	none := analysis.SuggestedFix{}
 	rs := enclosingRange(h.decl.Body, a)
-	if rs == nil || containsCall(rs.X) {
+	if rs == nil || astutil.ContainsCall(rs.X) {
 		return none, false
 	}
 	if !hasLen(pass.TypesInfo.Types[rs.X].Type) {
 		return none, false
 	}
-	src, ok := exprSource(pass, rs.X)
+	src, ok := astutil.ExprSource(pass.Fset, rs.X)
 	if !ok {
 		return none, false
 	}
@@ -541,32 +540,6 @@ func reportBoxing(pass *analysis.Pass, src ast.Expr, dst types.Type, suffix stri
 
 // ---- shared helpers ----
 
-func hasHotpathMarker(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.HasPrefix(c.Text, "//alm:hotpath") {
-			return true
-		}
-	}
-	return false
-}
-
-func calleeObject(pass *analysis.Pass, call *ast.CallExpr) types.Object {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		if obj, ok := pass.TypesInfo.Uses[fun].(*types.Func); ok {
-			return obj
-		}
-	case *ast.SelectorExpr:
-		if obj, ok := pass.TypesInfo.Uses[fun.Sel].(*types.Func); ok {
-			return obj
-		}
-	}
-	return nil
-}
-
 func typeQualifier(pass *analysis.Pass) types.Qualifier {
 	return func(p *types.Package) string {
 		if p == pass.Pkg {
@@ -574,23 +547,4 @@ func typeQualifier(pass *analysis.Pass) types.Qualifier {
 		}
 		return p.Name()
 	}
-}
-
-func exprSource(pass *analysis.Pass, e ast.Expr) (string, bool) {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, pass.Fset, e); err != nil {
-		return "", false
-	}
-	return buf.String(), true
-}
-
-func containsCall(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.CallExpr); ok {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

@@ -18,7 +18,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
-
 	"testing"
 
 	"alm/internal/lint/analysis"
@@ -32,24 +31,16 @@ var wantRe = regexp.MustCompile("//\\s*want\\s+((?:(?:\"(?:[^\"\\\\]|\\\\.)*\"|`
 
 var argRe = regexp.MustCompile("\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`")
 
-// Run loads testdata/src/<pkg> relative to the caller's test directory
-// and checks analyzer diagnostics against its want comments.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkg string) {
+// Run loads the fixture package in dir, runs the analyzers over it
+// through the almvet driver, and checks their diagnostics against its
+// want comments and their suggested fixes against its .fixed goldens.
+func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
-	RunWithSuite(t, testdata, []*analysis.Analyzer{a}, pkg)
-}
-
-// RunWithSuite is Run for several analyzers at once (used by the
-// suppression fixtures, which exercise directive scoping across the
-// whole suite).
-func RunWithSuite(t *testing.T, testdata string, analyzers []*analysis.Analyzer, pkg string) {
-	t.Helper()
-	dir := filepath.Join(testdata, "src", pkg)
 	l, err := loader.New(dir)
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
-	p, err := l.LoadDir(dir, pkg)
+	p, err := l.LoadDir(dir, filepath.Base(dir))
 	if err != nil {
 		t.Fatalf("load %s: %v", dir, err)
 	}
@@ -64,7 +55,7 @@ func RunWithSuite(t *testing.T, testdata string, analyzers []*analysis.Analyzer,
 		Files: p.Files,
 		Pkg:   p.Types,
 		Info:  p.Info,
-	}, analyzers, driver.Options{})
+	}, analyzers)
 	if err != nil {
 		t.Fatalf("driver: %v", err)
 	}
@@ -193,11 +184,4 @@ func checkWants(t *testing.T, fset *token.FileSet, p *loader.Package, diags []an
 			t.Errorf("%s:%d: no diagnostic matched want %q", w.file, w.line, w.raw)
 		}
 	}
-}
-
-// Testdata returns the conventional testdata root shared by the analyzer
-// test packages: internal/lint/testdata, resolved relative to the test's
-// working directory (internal/lint/<analyzer>).
-func Testdata() string {
-	return filepath.Join("..", "testdata")
 }

@@ -16,6 +16,7 @@ import (
 	"go/types"
 
 	"alm/internal/lint/analysis"
+	"alm/internal/lint/astutil"
 )
 
 // Analyzer is the detnow analysis.
@@ -54,7 +55,7 @@ func run(pass *analysis.Pass) error {
 // the map-range check look *forward* for a blessing sort call.
 func checkStmts(pass *analysis.Pass, stmts []ast.Stmt) {
 	for i, s := range stmts {
-		if rs, ok := s.(*ast.RangeStmt); ok && isMapType(pass, rs.X) {
+		if rs, ok := s.(*ast.RangeStmt); ok && astutil.IsMapType(pass.TypesInfo, rs.X) {
 			checkMapRange(pass, rs, stmts[i+1:])
 		}
 		checkExprsIn(pass, s)
@@ -124,7 +125,7 @@ func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, rest []ast.Stmt) {
 	var appendTargets []types.Object
 	if safeStmts(pass, rs.Body.List, &appendTargets) {
 		for _, tgt := range appendTargets {
-			if !sortedLater(pass, tgt, rest) {
+			if !astutil.SortedLater(pass.TypesInfo, tgt, rest) {
 				pass.Reportf(rs.Pos(), "map iteration appends to %q without sorting it afterwards; iteration order is not deterministic", tgt.Name())
 				return
 			}
@@ -232,73 +233,12 @@ func safeAssign(pass *analysis.Pass, a *ast.AssignStmt, appendTargets *[]types.O
 	// m2[k] = v over a map target is a commutative set — unless the RHS
 	// grows the slot (m2[k] = append(m2[k], v)), which bakes iteration
 	// order into the slot's element order.
-	if idx, ok := a.Lhs[0].(*ast.IndexExpr); ok && isMapType(pass, idx.X) && a.Tok == token.ASSIGN {
-		if !containsAppend(pass, a.Rhs[0]) && !containsCall(a.Rhs[0]) {
+	if idx, ok := a.Lhs[0].(*ast.IndexExpr); ok && astutil.IsMapType(pass.TypesInfo, idx.X) && a.Tok == token.ASSIGN {
+		if !containsAppend(pass, a.Rhs[0]) && !astutil.ContainsCall(a.Rhs[0]) {
 			return true
 		}
 	}
 	return false
-}
-
-// sortedLater reports whether a sort call mentioning target appears in the
-// statements following the range loop.
-func sortedLater(pass *analysis.Pass, target types.Object, rest []ast.Stmt) bool {
-	for _, s := range rest {
-		found := false
-		ast.Inspect(s, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			obj := pass.TypesInfo.Uses[sel.Sel]
-			if obj == nil || obj.Pkg() == nil {
-				return true
-			}
-			if p := obj.Pkg().Path(); p != "sort" && p != "slices" {
-				return true
-			}
-			for _, arg := range call.Args {
-				ast.Inspect(arg, func(m ast.Node) bool {
-					if id, ok := m.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == target {
-						found = true
-					}
-					return !found
-				})
-			}
-			return !found
-		})
-		if found {
-			return true
-		}
-	}
-	return false
-}
-
-func isMapType(pass *analysis.Pass, e ast.Expr) bool {
-	t := pass.TypesInfo.Types[e].Type
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	_, ok := t.Underlying().(*types.Map)
-	return ok
-}
-
-func containsCall(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.CallExpr); ok {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // containsNonBuiltinCall is containsCall, except pure builtins (len, cap)

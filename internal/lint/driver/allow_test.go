@@ -1,6 +1,7 @@
 package driver_test
 
 import (
+	"path/filepath"
 	"testing"
 
 	"alm/internal/lint/analysistest"
@@ -12,5 +13,5 @@ import (
 // unsuppressed one on the next line — proving //almvet:allow works and is
 // scoped to a single line for every analyzer.
 func TestAllowDirectives(t *testing.T) {
-	analysistest.RunWithSuite(t, analysistest.Testdata(), registry.Analyzers(), "allow")
+	analysistest.Run(t, filepath.Join("..", "testdata", "src", "allow"), registry.Analyzers()...)
 }

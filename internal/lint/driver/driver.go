@@ -1,8 +1,7 @@
 // Package driver runs a set of analyzers over one type-checked package,
 // applies //almvet:allow suppression directives, and returns the surviving
-// diagnostics in a stable order. Both almvet entry points (the vettool
-// protocol and standalone mode) and the analysistest harness funnel
-// through here, so suppression semantics are identical everywhere.
+// diagnostics in a stable order. almvet and the analysistest harness both
+// funnel through here, so suppression semantics are identical everywhere.
 package driver
 
 import (
@@ -24,25 +23,15 @@ type Target struct {
 	Info  *types.Info
 }
 
-// Options tunes a driver run.
-type Options struct {
-	// IncludeTests analyzes _test.go files too. The suite defaults to
-	// skipping them: the determinism and log-durability invariants bind
-	// the simulator, not its test scaffolding.
-	IncludeTests bool
-}
-
 // Run executes the analyzers and returns directive-filtered diagnostics
-// sorted by position. Diagnostics in _test.go files are dropped unless
-// opts.IncludeTests is set.
-func Run(t Target, analyzers []*analysis.Analyzer, opts Options) ([]analysis.Diagnostic, error) {
-	files := t.Files
-	if !opts.IncludeTests {
-		files = nil
-		for _, f := range t.Files {
-			if !strings.HasSuffix(t.Fset.Position(f.Pos()).Filename, "_test.go") {
-				files = append(files, f)
-			}
+// sorted by Sort. Diagnostics in _test.go files are dropped: the
+// determinism and log-durability invariants bind the simulator, not its
+// test scaffolding.
+func Run(t Target, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
+	var files []*ast.File
+	for _, f := range t.Files {
+		if !strings.HasSuffix(t.Fset.Position(f.Pos()).Filename, "_test.go") {
+			files = append(files, f)
 		}
 	}
 	allows := collectAllows(t.Fset, files)
@@ -67,8 +56,15 @@ func Run(t Target, analyzers []*analysis.Analyzer, opts Options) ([]analysis.Dia
 			return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
 		}
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		pi, pj := t.Fset.Position(diags[i].Pos), t.Fset.Position(diags[j].Pos)
+	Sort(t.Fset, diags)
+	return diags, nil
+}
+
+// Sort orders diagnostics by (file, line, column, analyzer), the one
+// byte-stable order almvet prints them in.
+func Sort(fset *token.FileSet, diags []analysis.Diagnostic) {
+	sort.SliceStable(diags, func(i, j int) bool {
+		pi, pj := fset.Position(diags[i].Pos), fset.Position(diags[j].Pos)
 		if pi.Filename != pj.Filename {
 			return pi.Filename < pj.Filename
 		}
@@ -80,7 +76,6 @@ func Run(t Target, analyzers []*analysis.Analyzer, opts Options) ([]analysis.Dia
 		}
 		return diags[i].Category < diags[j].Category
 	})
-	return diags, nil
 }
 
 // Format renders a diagnostic the way vet does.

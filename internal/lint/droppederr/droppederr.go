@@ -27,9 +27,9 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// ProtectedPkgs is the set of package paths whose returned errors (and
-// error-typed callbacks) must be consumed. Tests may override it.
-var ProtectedPkgs = map[string]bool{
+// protectedPkgs is the set of package paths whose returned errors (and
+// error-typed callbacks) must be consumed.
+var protectedPkgs = map[string]bool{
 	"alm/internal/dfs":  true,
 	"alm/internal/core": true,
 }
@@ -60,7 +60,7 @@ func protectedCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 		obj = pass.TypesInfo.Uses[fun]
 	}
 	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil || !ProtectedPkgs[fn.Pkg().Path()] {
+	if !ok || fn.Pkg() == nil || !protectedPkgs[fn.Pkg().Path()] {
 		return false
 	}
 	sig, ok := fn.Type().(*types.Signature)
@@ -201,7 +201,7 @@ func checkCallbackArgs(pass *analysis.Pass, call *ast.CallExpr) {
 		obj = pass.TypesInfo.Uses[fun]
 	}
 	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil || !ProtectedPkgs[fn.Pkg().Path()] {
+	if !ok || fn.Pkg() == nil || !protectedPkgs[fn.Pkg().Path()] {
 		return
 	}
 	for _, arg := range call.Args {

@@ -24,9 +24,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"alm/internal/lint/analysis"
+	"alm/internal/lint/astutil"
 )
 
 // Analyzer is the hotalloc analysis.
@@ -51,28 +51,13 @@ func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !isHotpath(fd.Doc) {
+			if !ok || fd.Body == nil || !astutil.IsHotpath(fd.Doc) {
 				continue
 			}
 			checkBody(pass, fd.Body)
 		}
 	}
 	return nil
-}
-
-// isHotpath reports whether the doc comment carries the marker. The
-// directive form (no space after //) is required, matching go:build and
-// friends; a prose mention of the word does not arm the analyzer.
-func isHotpath(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.HasPrefix(c.Text, "//alm:hotpath") {
-			return true
-		}
-	}
-	return false
 }
 
 func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {

@@ -4,9 +4,7 @@
 // module tree for module-local packages, which is all the almvet suite
 // needs: the repo has no third-party dependencies.
 //
-// The loader backs the analysistest harness and almvet's standalone mode;
-// when almvet runs under `go vet -vettool=`, packages arrive pre-compiled
-// through the vet config instead (see internal/lint/unitchecker).
+// The loader backs both almvet and the analysistest harness.
 package loader
 
 import (

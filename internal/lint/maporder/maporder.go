@@ -39,14 +39,13 @@
 package maporder
 
 import (
-	"bytes"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
 	"strings"
 
 	"alm/internal/lint/analysis"
+	"alm/internal/lint/astutil"
 	"alm/internal/lint/cfg"
 )
 
@@ -114,7 +113,7 @@ func collectUnordered(pass *analysis.Pass, file *ast.File) map[int]*unorderedAnn
 // forward for a blessing sort (same contract as detnow's).
 func walkStmts(pass *analysis.Pass, info *pkgInfo, ann map[int]*unorderedAnn, stmts []ast.Stmt) {
 	for i, s := range stmts {
-		if rs, ok := s.(*ast.RangeStmt); ok && isMapType(pass, rs.X) {
+		if rs, ok := s.(*ast.RangeStmt); ok && astutil.IsMapType(pass.TypesInfo, rs.X) {
 			checkMapRange(pass, info, ann, rs, stmts[i+1:])
 		}
 		// Recurse into nested statement lists and function literals.
@@ -203,7 +202,7 @@ func findSink(pass *analysis.Pass, info *pkgInfo, rs *ast.RangeStmt, rest []ast.
 		return sink
 	}
 	for _, tgt := range appendTargets {
-		if !sortedLater(pass, tgt, rest) {
+		if !astutil.SortedLater(pass.TypesInfo, tgt, rest) {
 			return "an append to " + tgt.Name() + " that is not sorted afterwards"
 		}
 	}
@@ -212,7 +211,7 @@ func findSink(pass *analysis.Pass, info *pkgInfo, rs *ast.RangeStmt, rest []ast.
 
 // callSink classifies one call inside the loop body.
 func callSink(pass *analysis.Pass, info *pkgInfo, call *ast.CallExpr) string {
-	obj := calleeObject(pass, call)
+	obj := astutil.CalleeObject(pass.TypesInfo, call)
 	if obj == nil {
 		return ""
 	}
@@ -267,7 +266,7 @@ func assignSink(pass *analysis.Pass, rs *ast.RangeStmt, a *ast.AssignStmt, appen
 	case token.ASSIGN:
 		// x = x + dv float, or x = append(x, ...).
 		if bin, ok := a.Rhs[0].(*ast.BinaryExpr); ok && isFloat(obj.Type()) {
-			if mentionsObj(pass, bin, obj) {
+			if astutil.Mentions(pass.TypesInfo, bin, obj) {
 				return "float accumulation into " + lhs.Name + " (float addition is order-sensitive)"
 			}
 		}
@@ -286,52 +285,6 @@ func assignSink(pass *analysis.Pass, rs *ast.RangeStmt, a *ast.AssignStmt, appen
 // range statement (accumulators and collectors, not loop-local temps).
 func declaredOutside(obj types.Object, rs *ast.RangeStmt) bool {
 	return obj.Pos() < rs.Pos() || obj.Pos() >= rs.End()
-}
-
-func mentionsObj(pass *analysis.Pass, e ast.Expr, obj types.Object) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// sortedLater reports whether a sort/slices call mentioning target
-// follows the loop in its enclosing block.
-func sortedLater(pass *analysis.Pass, target types.Object, rest []ast.Stmt) bool {
-	for _, s := range rest {
-		found := false
-		ast.Inspect(s, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			obj := pass.TypesInfo.Uses[sel.Sel]
-			if obj == nil || obj.Pkg() == nil {
-				return true
-			}
-			if p := obj.Pkg().Path(); p != "sort" && p != "slices" {
-				return true
-			}
-			for _, arg := range call.Args {
-				if mentionsObj(pass, arg, target) {
-					found = true
-				}
-			}
-			return !found
-		})
-		if found {
-			return true
-		}
-	}
-	return false
 }
 
 // ---- package-level emit/hotpath propagation ----
@@ -363,7 +316,7 @@ func collectPackageInfo(pass *analysis.Pass) *pkgInfo {
 				continue
 			}
 			fns = append(fns, fn{obj, fd})
-			if hasHotpathMarker(fd.Doc) {
+			if astutil.IsHotpath(fd.Doc) {
 				info.hot[obj] = true
 			}
 			if emitsDirectly(pass, fd.Body) {
@@ -385,7 +338,7 @@ func collectPackageInfo(pass *analysis.Pass) *pkgInfo {
 			if !ok {
 				return true
 			}
-			if obj := calleeObject(pass, call); obj != nil && local[obj] && !seen[obj] {
+			if obj := astutil.CalleeObject(pass.TypesInfo, call); obj != nil && local[obj] && !seen[obj] {
 				seen[obj] = true
 				callees[f.obj] = append(callees[f.obj], obj)
 			}
@@ -424,7 +377,7 @@ func emitsDirectly(pass *analysis.Pass, body *ast.BlockStmt) bool {
 		if !ok {
 			return true
 		}
-		obj := calleeObject(pass, call)
+		obj := astutil.CalleeObject(pass.TypesInfo, call)
 		if obj == nil {
 			return true
 		}
@@ -453,34 +406,6 @@ func emitsDirectly(pass *analysis.Pass, body *ast.BlockStmt) bool {
 	return found
 }
 
-func hasHotpathMarker(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.HasPrefix(c.Text, "//alm:hotpath") {
-			return true
-		}
-	}
-	return false
-}
-
-// calleeObject resolves a call's static callee, or nil for indirect calls
-// and builtins.
-func calleeObject(pass *analysis.Pass, call *ast.CallExpr) types.Object {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		if obj, ok := pass.TypesInfo.Uses[fun].(*types.Func); ok {
-			return obj
-		}
-	case *ast.SelectorExpr:
-		if obj, ok := pass.TypesInfo.Uses[fun.Sel].(*types.Func); ok {
-			return obj
-		}
-	}
-	return nil
-}
-
 // ---- suggested fix: sorted-key iteration ----
 
 // sortedKeysFix rewrites `for k, v := range m` to
@@ -493,14 +418,14 @@ func sortedKeysFix(pass *analysis.Pass, rs *ast.RangeStmt) (analysis.SuggestedFi
 	if rs.Tok != token.DEFINE {
 		return none, false
 	}
-	mt, ok := mapTypeOf(pass, rs.X)
+	mt, ok := astutil.MapType(pass.TypesInfo, rs.X)
 	if !ok || !isOrdered(mt.Key()) {
 		return none, false
 	}
-	if containsCall(rs.X) {
+	if astutil.ContainsCall(rs.X) {
 		return none, false
 	}
-	mSrc, ok := exprSource(pass, rs.X)
+	mSrc, ok := astutil.ExprSource(pass.Fset, rs.X)
 	if !ok {
 		return none, false
 	}
@@ -639,32 +564,7 @@ func freshName(pass *analysis.Pass, rs *ast.RangeStmt, base string) string {
 	}
 }
 
-func exprSource(pass *analysis.Pass, e ast.Expr) (string, bool) {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, pass.Fset, e); err != nil {
-		return "", false
-	}
-	return buf.String(), true
-}
-
 // ---- type helpers ----
-
-func isMapType(pass *analysis.Pass, e ast.Expr) bool {
-	_, ok := mapTypeOf(pass, e)
-	return ok
-}
-
-func mapTypeOf(pass *analysis.Pass, e ast.Expr) (*types.Map, bool) {
-	t := pass.TypesInfo.Types[e].Type
-	if t == nil {
-		return nil, false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	m, ok := t.Underlying().(*types.Map)
-	return m, ok
-}
 
 func isOrdered(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
@@ -674,15 +574,4 @@ func isOrdered(t types.Type) bool {
 func isFloat(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsFloat != 0
-}
-
-func containsCall(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.CallExpr); ok {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

@@ -1,8 +1,8 @@
 // Package registry enumerates the almvet analyzer suite and the package
 // scope each analyzer applies to. Scoping is a driver policy, not an
 // analyzer property: the analyzers check whatever package they are handed
-// (which is what analysistest exploits), while the vettool consults
-// AppliesTo before spending work on a package.
+// (which is what analysistest exploits), while almvet consults AppliesTo
+// before spending work on a package.
 package registry
 
 import (
@@ -63,7 +63,7 @@ func All() []Scoped {
 	}
 }
 
-// Analyzers returns the bare analyzers (for analysistest and docs).
+// Analyzers returns the bare analyzers (for analysistest).
 func Analyzers() []*analysis.Analyzer {
 	var out []*analysis.Analyzer
 	for _, s := range All() {

@@ -26,13 +26,12 @@
 package timerflow
 
 import (
-	"bytes"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
 
 	"alm/internal/lint/analysis"
+	"alm/internal/lint/astutil"
 	"alm/internal/lint/cfg"
 	"alm/internal/lint/dataflow"
 )
@@ -491,7 +490,7 @@ func reportRearms(pass *analysis.Pass, p *problem) {
 				"order, no allocation (DESIGN.md §10)",
 		}
 		if f.mustStop {
-			if lhsSrc, ok := exprSource(pass, f.lhs); ok {
+			if lhsSrc, ok := astutil.ExprSource(pass.Fset, f.lhs); ok {
 				d.SuggestedFixes = append(d.SuggestedFixes, analysis.SuggestedFix{
 					Message: "replace with " + lhsSrc + ".Reschedule(...)",
 					TextEdits: []analysis.TextEdit{{
@@ -745,12 +744,4 @@ func hasSucc(blk, target *cfg.Block) bool {
 		}
 	}
 	return false
-}
-
-func exprSource(pass *analysis.Pass, e ast.Expr) (string, bool) {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, pass.Fset, e); err != nil {
-		return "", false
-	}
-	return buf.String(), true
 }
